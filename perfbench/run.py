@@ -114,7 +114,6 @@ def main():
     ap.add_argument("--seconds", required=True, type=float)
     ap.add_argument("--trace", required=True, choices=("0", "1"))
     ap.add_argument("--scale", default="1", help="input size factor (the smoke test uses a small one)")
-    ap.add_argument("--setups", default="2", help="set-up repetitions; setup_s is their median")
     a = ap.parse_args()
 
     classes, digest = build()
@@ -122,14 +121,16 @@ def main():
     os.makedirs(out, exist_ok=True)
     tmpdir = os.path.join(BUILD, "tmp")
     os.makedirs(tmpdir, exist_ok=True)
-    # A fixed-size heap keeps young collections rare and alike from run to run.
-    cmd = (["java", "-Xms3g", "-Xmx3g", "-Xss8m", "-Djava.io.tmpdir=" + tmpdir,
+    # A fixed-size heap and young generation keep collections alike from run
+    # to run: with G1's adaptive young sizing the op catalog ran at half speed
+    # for the first several seconds, for a different time in each JVM.
+    cmd = (["java", "-Xms3g", "-Xmx3g", "-Xmn1g", "-Xss8m", "-Djava.io.tmpdir=" + tmpdir,
             "-Dlog4j2.configurationFile=" + os.path.join(HERE, "log4j2.properties")]
            + JAVA_OPENS
            + ["-cp", classes + os.pathsep + os.path.join(SPARK_JARS, "*"),
               "repro.perfbench.Main",
               "--workload", a.workload, "--seed", str(a.seed), "--seconds", str(a.seconds),
-              "--trace", a.trace, "--scale", a.scale, "--setups", a.setups, "--out", out,
+              "--trace", a.trace, "--scale", a.scale, "--out", out,
               "--sha", git_sha(), "--source-hash", digest])
     proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True, cwd=ROOT)
     try:

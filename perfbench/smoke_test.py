@@ -18,7 +18,7 @@ ROOT = os.path.dirname(HERE)
 
 def run(workload, trace):
     cmd = [sys.executable, os.path.join(HERE, "run.py"), "--workload", workload, "--seed", "5",
-           "--seconds", "1", "--trace", str(trace), "--scale", "0.1", "--setups", "1"]
+           "--seconds", "1", "--trace", str(trace), "--scale", "0.1"]
     out = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=600)
     if out.returncode != 0:
         sys.stderr.write(out.stderr[-4000:])

@@ -4,13 +4,14 @@ import java.lang.management.ManagementFactory
 import java.nio.charset.StandardCharsets
 import java.nio.file.{Files, Path, Paths}
 import org.apache.spark.sql.SparkSession
+import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 
 /** Entry point of the DSLog benchmark (see perfbench/README.md).
   *
   * {{{
   *   Main --workload W --seed N --seconds S --trace 0|1 --out DIR
-  *        [--scale X] [--setups K] [--sha SHA] [--source-hash H]
+  *        [--scale X] [--sha SHA] [--source-hash H]
   * }}}
   * Prints one JSON line with the environment, input fingerprints and
   * details, then, as the last line, the result object.
@@ -21,8 +22,11 @@ object Main {
     "sort", "lime", "drise", "groupby", "join")
 
   /** Modules whose self time the traced run reports. */
-  val Layers: Seq[String] = Seq("DSLog", "LineageCompressor", "ProvRC", "Codec", "ProvRCTable",
-    "QueryProcessor", "ThetaJoin", "ProvRCTableProvider", "ReuseManager", "Ops")
+  val Layers: Seq[String] = Seq("DSLog", "ProvRC", "Codec", "ProvRCTable", "QueryProcessor",
+    "ProvRCTableProvider", "ReuseManager", "Ops")
+
+  /** Set-up repetitions; `setup_s` takes their median. */
+  val SetupRuns = 2
 
   def main(argv: Array[String]): Unit = {
     val args = argv.grouped(2).map { case Array(k, v) => k.stripPrefix("--") -> v }.toMap
@@ -32,7 +36,6 @@ object Main {
     val trace = args("trace") == "1"
     val out = Paths.get(args("out"))
     val scale = args.getOrElse("scale", "1").toDouble
-    val setups = args.getOrElse("setups", "2").toInt
     val work = out.resolve(s"work-${ProcessHandle.current().pid()}")
 
     val t0 = System.nanoTime()
@@ -53,18 +56,18 @@ object Main {
       val counters = new SparkCounters
       spark.sparkContext.addSparkListener(counters)
       val env = new Env(spark, seed, scale, work, new Tracer, new Checks, counters)
-      run(env, workload, seconds, trace, setups, sparkUpMs, args, out)
+      run(env, workload, seconds, trace, sparkUpMs, args, out)
     } finally {
       spark.stop()
       deleteTree(work)
     }
   }
 
-  private def run(env: Env, workload: String, seconds: Double, trace: Boolean, setups: Int,
+  private def run(env: Env, workload: String, seconds: Double, trace: Boolean,
       sparkUpMs: Double, args: Map[String, String], out: Path): Unit = {
     val w = Workload(workload, env)
     val early = w.early()
-    val setupMs = (0 until setups).map { _ =>
+    val setupMs = (0 until SetupRuns).map { _ =>
       val t0 = System.nanoTime()
       w.setup()
       Stats.nanos(t0)
@@ -132,29 +135,37 @@ object Main {
     )))
   }
 
-  /** Untraced half, then traced half of the loop; the per-layer metrics
-    * come from the traced half, the secondary phase and the replays.
+  /** The loop in four quarters: untraced, traced, traced, untraced, so a
+    * steady drift (warm-up still under way) cancels out of the tracing
+    * overhead. The per-layer metrics come from the traced quarters, the
+    * secondary phase and the replays.
     */
   private def traced(env: Env, w: Workload, seconds: Double): Map[String, Metric] = {
     val tr = env.tr
-    val plain = w.loop(seconds / 2)
-    env.sparkCounters.settle()
-    val spark0 = env.sparkCounters.snapshot
-    val gc0 = gcMs()
-    tr.on = true
-    val withSpans = w.loop(seconds / 2)
+    val sc = env.sparkCounters
+    var (plainOps, plainMs, spanOps, spanMs, gcSpan) = (0L, 0.0, 0L, 0.0, 0.0)
+    val sparkSpan = mutable.Map.empty[String, Long].withDefaultValue(0L)
+    def traceWhile(f: => Unit): Unit = {
+      sc.settle()
+      val (s0, g0) = (sc.snapshot, gcMs())
+      tr.on = true
+      f
+      tr.on = false
+      sc.settle()
+      sc.snapshot.foreach { case (k, v) => sparkSpan(k) += v - s0(k) }
+      gcSpan += gcMs() - g0
+    }
+    Seq(false, true, true, false).foreach { on =>
+      if (on) traceWhile { val l = w.loop(seconds / 4); spanOps += l.ops; spanMs += l.ms }
+      else { val l = w.loop(seconds / 4); plainOps += l.ops; plainMs += l.ms }
+    }
     val loopSpans = tr.spans.size
-    env.sparkCounters.settle()
-    val spark1 = env.sparkCounters.snapshot
-    val gc1 = gcMs()
-    w.secondary()
-    w.replay()
-    env.sparkCounters.settle()
-    val scanParts = env.sparkCounters.scanPartitions.get - spark0("scan_partitions")
-    tr.on = false
+    val (loopJobs, loopTaskMs, loopGcMs) = (sparkSpan("jobs"), sparkSpan("task_ms"), gcSpan)
+    traceWhile { w.secondary(); w.replay() }
+    val scanParts = sparkSpan("scan_partitions")
     w.check()
 
-    val ops = math.max(1L, withSpans.ops).toDouble
+    val ops = math.max(1L, spanOps).toDouble
     val c = tr.counters
     def per(num: String, den: String): Double = c(num) / math.max(1.0, c(den))
     def spanMean(name: String): Double = {
@@ -181,14 +192,15 @@ object Main {
       ("ProvRC.compress.calls_ms", per("ProvRC.compress.calls_ms", "ProvRC.compress.calls"), "ms"),
       ("Codec.encode.ms", per("Codec.encode.ms", "Codec.encode.calls"), "ms"),
       ("Codec.decode.ms", per("Codec.decode.ms", "Codec.decode.calls"), "ms"),
-      ("Codec.bytes", per("Codec.bytes", "Codec.bytes.calls"), "B"),
+      ("Codec.bytes", per("Codec.bytes", "Codec.encode.calls"), "B"),
       ("ProvRCTable.write.ms", spanMean("ProvRCTable.write"), "ms"),
       ("ProvRCTable.write.bytes", c("ProvRCTable.write.bytes") / math.max(1, tr.named("ProvRCTable.write").size), "B"),
       ("QueryProcessor.insitu.hop_ms.driver", per("QueryProcessor.insitu.hop_ms.driver", "QueryProcessor.insitu.hops.driver"), "ms"),
       ("QueryProcessor.insitu.hop_ms.spark", per("QueryProcessor.insitu.hop_ms.spark", "QueryProcessor.insitu.hops.spark"), "ms"),
       ("QueryProcessor.insitu.hops.driver", c("QueryProcessor.insitu.hops.driver") / math.max(1.0, queries), "count"),
       ("QueryProcessor.insitu.hops.spark", c("QueryProcessor.insitu.hops.spark") / math.max(1.0, queries), "count"),
-      ("QueryProcessor.spark_hop.overhead_ms", per("QueryProcessor.spark_hop.overhead_ms", "QueryProcessor.insitu.hops.spark"), "ms"),
+      ("QueryProcessor.spark_hop.overhead_ms", per("QueryProcessor.insitu.hop_ms.spark", "QueryProcessor.insitu.hops.spark") -
+        per("replay.spark_size.join_merge_ms", "replay.spark_size.hops"), "ms"),
       ("ThetaJoin.joinRaw.ms", per("ThetaJoin.joinRaw.ms", "ThetaJoin.joinRaw.calls"), "ms"),
       ("ThetaJoin.joinRaw.pairs_probed", per("ThetaJoin.joinRaw.pairs_probed", "ThetaJoin.joinRaw.calls"), "count"),
       ("ThetaJoin.joinRaw.rects_out", per("ThetaJoin.joinRaw.rects_out", "ThetaJoin.joinRaw.calls"), "count"),
@@ -205,10 +217,10 @@ object Main {
       ("ReuseManager.mispredictions", per("ReuseManager.mispredictions", "ReuseManager.passes"), "count"),
       ("ReuseManager.hit_ratio", c("ReuseManager.hits") / math.max(1.0, registers), "ratio"),
       ("Ops.lineage.ms", c("Ops.lineage.ms") / math.max(1, tr.named("Ops.lineage").size), "ms"),
-      ("spark.jobs", (spark1("jobs") - spark0("jobs")) / ops, "count"),
-      ("spark.task_ms", (spark1("task_ms") - spark0("task_ms")) / ops, "ms"),
-      ("jvm.gc_ms", (gc1 - gc0) / ops, "ms"),
-      ("trace.overhead_pct", 100.0 * (withSpans.meanMs / plain.meanMs - 1), "%"),
+      ("spark.jobs", loopJobs / ops, "count"),
+      ("spark.task_ms", loopTaskMs / ops, "ms"),
+      ("jvm.gc_ms", loopGcMs / ops, "ms"),
+      ("trace.overhead_pct", 100.0 * ((spanMs / ops) / (plainMs / math.max(1L, plainOps)) - 1), "%"),
       ("trace.spans", loopSpans / ops, "count"),
     ) ++ self.map { case (n, v) => (n, v, "ms") }
     m.map { case (n, v, u) => n -> Metric(v, u) }.toMap

@@ -92,10 +92,12 @@ final class Samples {
     labels.zip(ms).groupBy(_._1).map { case (l, xs) => l -> Stats.median(xs.map(_._2).toSeq) }
 }
 
-/** The calls into each layer, made from the benchmark's own code. With the
-  * tracer off they are the program's entry points; with it on, the same
-  * work is done through the public functions one layer down so each layer
-  * gets its own span.
+/** The calls into each layer, made from the benchmark's own code. Every
+  * operation runs the program's public functions; with the tracer on, the
+  * same calls are wrapped in spans, and a query runs its path one
+  * `QueryProcessor.insitu` hop at a time so each hop gets its own span.
+  * What happens inside a program function is measured by the replays
+  * below, which call the layer's public functions directly.
   */
 object Phases {
   import ThetaJoin.Rect
@@ -103,25 +105,9 @@ object Phases {
   // ----------------------------------------------------------- ingest
 
   def register(env: Env, log: DSLog, r: Rel): LineageTables = {
-    val tr = env.tr
     log.defineArray(r.from, r.fromShape)
     log.defineArray(r.to, r.toShape)
-    if (!tr.on) log.registerLineage(r.from, r.to, r.df)
-    else tr.span("DSLog.registerLineage") {
-      def compress(df: DataFrame, nKey: Int): Vector[CRow] = {
-        val t0 = System.nanoTime()
-        val out = tr.span("LineageCompressor.compress")(LineageCompressor.compress(df, nKey))
-        tr.count(s"LineageCompressor.compress.ms.${r.kind}", Stats.nanos(t0))
-        tr.count(s"LineageCompressor.compress.calls.${r.kind}", 1)
-        tr.count(s"LineageCompressor.compress.rows_out.${r.kind}", out.size)
-        out
-      }
-      val bwd = compress(r.df, r.nTo)
-      val fwd = compress(r.fwdDf, r.nFrom)
-      val t = LineageTables(r.from, r.to, r.nFrom, r.nTo, fwd, bwd)
-      log.registerCompressed(t)
-      t
-    }
+    env.tr.span("DSLog.registerLineage")(log.registerLineage(r.from, r.to, r.df))
   }
 
   /** Write both orientations of a registered relation as `provrc` tables. */
@@ -137,22 +123,36 @@ object Phases {
     ((bDir, fDir), bytes)
   }
 
-  /** Register and write every relation into one log; returns the rows
-    * registered per second of registration.
+  /** Register and write every relation into one log; also returns the
+    * time that took (ms) and the bytes written.
     */
-  def registerAll(env: Env, log: DSLog, rels: Seq[Rel], base: String): (Seq[Registered], Double) = {
-    var regMs = 0.0
+  def registerAll(env: Env, log: DSLog, rels: Seq[Rel], base: String): (Seq[Registered], Double, Long) = {
     val each = mutable.LinkedHashMap.empty[String, Double]
+    var bytes = 0L
     val out = rels.zipWithIndex.map { case (r, i) =>
       val t0 = System.nanoTime()
       val t = register(env, log, r)
+      val (dirs, b) = write(env, s"$base/$i", r, t)
       each(s"${r.from}->${r.to}") = Stats.nanos(t0)
-      regMs += each(s"${r.from}->${r.to}")
-      val (dirs, _) = write(env, s"$base/$i", r, t)
+      bytes += b
       new Registered(r, t, dirs)
     }
     env.details("register_ms") = each
-    (out, regMs)
+    (out, each.values.sum, bytes)
+  }
+
+  /** `LineageCompressor.compress` of both orientations of each relation,
+    * timed per call and relation kind.
+    */
+  def replayCompressor(env: Env, rels: Seq[Rel]): Unit = rels.foreach { r =>
+    val tr = env.tr
+    Seq((r.df, r.nTo), (r.fwdDf, r.nFrom)).foreach { case (df, nKey) =>
+      val t0 = System.nanoTime()
+      val out = tr.span("LineageCompressor.compress")(LineageCompressor.compress(df, nKey))
+      tr.count(s"LineageCompressor.compress.ms.${r.kind}", Stats.nanos(t0))
+      tr.count(s"LineageCompressor.compress.calls.${r.kind}", 1)
+      tr.count(s"LineageCompressor.compress.rows_out.${r.kind}", out.size)
+    }
   }
 
   // ------------------------------------------------------------ query
@@ -162,95 +162,77 @@ object Phases {
     if (!tr.on) q.log.provQuery(q.path, q.rects)
     else tr.span("DSLog.provQuery") {
       q.path.sliding(2).foldLeft(q.rects.toVector) { case (acc, Seq(x, y)) =>
-        if (acc.isEmpty) acc
-        else {
-          val rows = q.log.hopTable(x, y)
-          if (rows.size > QueryProcessor.SparkHopThreshold) sparkHop(env, rows, acc)
-          else {
-            val t0 = System.nanoTime()
-            val out = tr.span("QueryProcessor.insitu.hop") {
-              mergeRects(env, joinRaw(env, rows, acc))
-            }
-            tr.count("QueryProcessor.insitu.hop_ms.driver", Stats.nanos(t0))
-            tr.count("QueryProcessor.insitu.hops.driver", 1)
-            out
-          }
-        }
+        val rows = q.log.hopTable(x, y)
+        val path = if (rows.size > QueryProcessor.SparkHopThreshold) "spark" else "driver"
+        val t0 = System.nanoTime()
+        val out = tr.span("QueryProcessor.insitu")(QueryProcessor.insitu(env.spark, Seq(rows), acc))
+        tr.count(s"QueryProcessor.insitu.hop_ms.$path", Stats.nanos(t0))
+        tr.count(s"QueryProcessor.insitu.hops.$path", 1)
+        out
       }
     }
   }
 
-  private def joinRaw(env: Env, rows: Vector[CRow], q: Vector[Rect]): Vector[Rect] = {
-    val t0 = System.nanoTime()
-    val out = env.tr.span("ThetaJoin.joinRaw")(ThetaJoin.joinRaw(rows, q))
-    countJoin(env, Stats.nanos(t0), rows.size.toLong * q.size, out.size)
-    out
-  }
-
-  private def countJoin(env: Env, ms: Double, pairs: Long, rectsOut: Long): Unit = {
-    env.tr.count("ThetaJoin.joinRaw.ms", ms)
-    env.tr.count("ThetaJoin.joinRaw.calls", 1)
-    env.tr.count("ThetaJoin.joinRaw.pairs_probed", pairs.toDouble)
-    env.tr.count("ThetaJoin.joinRaw.rects_out", rectsOut.toDouble)
-  }
-
-  private def mergeRects(env: Env, raw: Vector[Rect]): Vector[Rect] = {
-    val t0 = System.nanoTime()
-    val out = env.tr.span("ThetaJoin.mergeRects")(ThetaJoin.mergeRects(raw))
-    env.tr.count("ThetaJoin.mergeRects.ms", Stats.nanos(t0))
-    env.tr.count("ThetaJoin.mergeRects.calls", 1)
-    env.tr.count("ThetaJoin.mergeRects.rects_in", raw.size)
-    env.tr.count("ThetaJoin.mergeRects.rects_out", out.size)
-    out
-  }
-
-  /** The Spark hop of `QueryProcessor.insitu`, step by step: re-encode the
-    * table into chunks, broadcast the query, range-join in the executors,
-    * merge on the driver. Executor-side decode and join are timed per task.
+  /** The query rectangles as a sequence that counts how often the join
+    * reads one: a nested-loop join reads each once per table row, so the
+    * count is the (row, rectangle) pairs it probed.
     */
-  private def sparkHop(env: Env, rows: Vector[CRow], q: Vector[Rect]): Vector[Rect] = {
+  private final class CountedRects(rects: Vector[Rect]) extends scala.collection.immutable.IndexedSeq[Rect] {
+    var reads = 0L
+    def length: Int = rects.length
+    def apply(i: Int): Rect = { reads += 1; rects(i) }
+  }
+
+  /** Every hop of every query, replayed on the driver through the public
+    * `ThetaJoin.joinRaw` and `ThetaJoin.mergeRects`, plus `Codec.encode`
+    * and `Codec.decode` of each table the Spark hop re-encodes. Hops of
+    * Spark-hop size also add their join + merge time to
+    * `replay.spark_size.join_merge_ms`.
+    */
+  def replayHops(env: Env, specs: Seq[QSpec]): Unit = {
     val tr = env.tr
-    val sc = env.spark.sparkContext
-    val t0 = System.nanoTime()
-    val merged = tr.span("QueryProcessor.insitu.hop") {
-      val (nOut, nIn) = (rows.head.nOut, rows.head.nIn)
-      val t1 = System.nanoTime()
-      val chunks = tr.span("Codec.encode") {
-        rows.grouped(8192).map(g => Codec.encode(g, nOut, nIn)).toSeq
+    val encoded = mutable.Set.empty[(DSLog, String, String)]
+    specs.foreach { q =>
+      q.path.sliding(2).foldLeft(q.rects.toVector) { case (acc, Seq(x, y)) =>
+        val rows = q.log.hopTable(x, y)
+        val t0 = System.nanoTime()
+        val raw = tr.span("ThetaJoin.joinRaw")(ThetaJoin.joinRaw(rows, acc))
+        val joinMs = Stats.nanos(t0)
+        val counted = new CountedRects(acc)
+        ThetaJoin.joinRaw(rows, counted)
+        tr.count("ThetaJoin.joinRaw.ms", joinMs)
+        tr.count("ThetaJoin.joinRaw.calls", 1)
+        tr.count("ThetaJoin.joinRaw.pairs_probed", counted.reads.toDouble)
+        tr.count("ThetaJoin.joinRaw.rects_out", raw.size)
+        val m0 = System.nanoTime()
+        val out = tr.span("ThetaJoin.mergeRects")(ThetaJoin.mergeRects(raw))
+        val mergeMs = Stats.nanos(m0)
+        tr.count("ThetaJoin.mergeRects.ms", mergeMs)
+        tr.count("ThetaJoin.mergeRects.calls", 1)
+        tr.count("ThetaJoin.mergeRects.rects_in", raw.size)
+        tr.count("ThetaJoin.mergeRects.rects_out", out.size)
+        if (rows.size > QueryProcessor.SparkHopThreshold) {
+          tr.count("replay.spark_size.join_merge_ms", joinMs + mergeMs)
+          tr.count("replay.spark_size.hops", 1)
+          if (encoded.add((q.log, x, y))) replayCodec(env, rows)
+        }
+        out
       }
-      val encodeMs = Stats.nanos(t1)
-      tr.count("Codec.encode.ms", encodeMs)
-      tr.count("Codec.encode.calls", 1)
-      val bc = sc.broadcast(q)
-      val parts =
-        try tr.span("spark.job") {
-          sc.parallelize(chunks, math.min(chunks.size, sc.defaultParallelism))
-            .mapPartitions { it =>
-              val d0 = System.nanoTime()
-              val tables = it.map(b => Codec.decode(b)._1).toVector
-              val j0 = System.nanoTime()
-              val raw = tables.flatMap(t => ThetaJoin.joinRaw(t, bc.value))
-              Iterator.single((raw, j0 - d0, System.nanoTime() - j0))
-            }
-            .collect()
-        } finally bc.destroy()
-      val raw = parts.iterator.flatMap(_._1).toVector
-      val joinMs = parts.map(_._3).sum / 1e6
-      val decodeMs = parts.map(_._2).sum / 1e6
-      tr.count("Codec.decode.ms", decodeMs)
-      tr.count("Codec.decode.calls", 1)
-      countJoin(env, joinMs, rows.size.toLong * q.size, raw.size)
-      val m0 = System.nanoTime()
-      val merged = mergeRects(env, raw)
-      // The job's critical path is its slowest task.
-      val slowest = if (parts.isEmpty) 0.0 else parts.map(p => p._2 + p._3).max / 1e6
-      tr.count("QueryProcessor.spark_hop.overhead_ms",
-        Stats.nanos(t0) - encodeMs - slowest - Stats.nanos(m0))
-      merged
     }
-    tr.count("QueryProcessor.insitu.hop_ms.spark", Stats.nanos(t0))
-    tr.count("QueryProcessor.insitu.hops.spark", 1)
-    merged
+  }
+
+  /** `Codec.encode` and `Codec.decode` of one compressed table. */
+  def replayCodec(env: Env, rows: Vector[CRow]): Unit = {
+    val tr = env.tr
+    val e0 = System.nanoTime()
+    val blob = tr.span("Codec.encode")(Codec.encode(rows, rows.head.nOut, rows.head.nIn))
+    tr.count("Codec.encode.ms", Stats.nanos(e0))
+    tr.count("Codec.encode.calls", 1)
+    tr.count("Codec.bytes", blob.length)
+    val d0 = System.nanoTime()
+    tr.span("Codec.decode")(Codec.decode(blob))
+    tr.count("Codec.decode.ms", Stats.nanos(d0))
+    tr.count("Codec.decode.calls", 1)
   }
 
   /** Answers seen per query spec, for checking after the timed loop. */
@@ -363,8 +345,38 @@ object Phases {
 
   final case class Coverage(provrc: Int, dimSig: Int, genSig: Int, errorOps: Seq[String])
 
-  final class PassResult(val calls: Long, val lineageRows: Long, val encodedBytes: Long,
-      val rawBytes: Long, val coverage: Coverage, val captured: Seq[(Seq[LocalRel], Seq[Vector[CRow]])])
+  /** The seed of the program's own Table IX run (`Benchmarks.runTableIX`). */
+  val TableIXSeed = 5L
+
+  /** Table IX on its seed: ProvRC, dim_sig and gen_sig coverage and the
+    * ops with a reuse misprediction.
+    */
+  val TableIX = Coverage(124, 126, 104, Seq("cross"))
+
+  /** One untimed pass on the Table IX seed, checked against Table IX. */
+  def tableIXPass(env: Env): Unit = {
+    val c = catalogPass(env, catalogInputs(TableIXSeed, CatalogRuns), keep = false).coverage
+    env.checks.record(c == TableIX, s"op catalog on the Table IX seed: $c != $TableIX")
+  }
+
+  /** The check of a pass on another seed. `cross` mispredicts on every
+    * seed. A value-dependent op (a selection such as `percentile`) can be
+    * confirmed by two inputs that happen to select the same cell and then
+    * mispredict, which the m = 1 prediction allows; no other op may.
+    */
+  def checkCoverage(env: Env, c: Coverage): Unit = {
+    val allowed = Ops.all.filter(_.valueDependent).map(_.name).toSet + "cross"
+    env.checks.record(c.errorOps.contains("cross") && c.errorOps.forall(allowed),
+      s"op catalog mispredictions ${c.errorOps.mkString(",")}")
+  }
+
+  /** Calls per op in a pass, over its shape variants (Table IX). */
+  val CatalogRuns = 20
+
+  final class PassResult(val calls: Int, val ms: Double, val coverage: Coverage,
+      val captured: Seq[(Seq[LocalRel], Seq[Vector[CRow]])]) {
+    def callsPerSecond: Double = calls / (ms / 1000)
+  }
 
   /** One pass of the Table IX call loop: capture -> compress -> register. */
   def catalogPass(env: Env, inputs: IndexedSeq[IndexedSeq[Seq[NDArray]]], keep: Boolean): PassResult = {
@@ -372,7 +384,8 @@ object Phases {
     val rm = new ReuseManager
     val compressedOps = mutable.Set.empty[String]
     val kept = ArrayBuffer.empty[(Seq[LocalRel], Seq[Vector[CRow]])]
-    var calls, rows, enc, raw = 0L
+    val p0 = System.nanoTime()
+    var calls = 0
     Ops.all.zip(inputs).foreach { case (op, runs) =>
       runs.indices.foreach { run =>
         val ins = runs(run)
@@ -389,11 +402,13 @@ object Phases {
           }
           if (run == 0) {
             val rawCsv = rels.map(_.rawCsvBytes).sum
+            val e0 = System.nanoTime()
             val bytes = rels.lazyZip(tables).map((r, t) =>
               tr.span("Codec.encode")(Codec.encode(t, r.nOut, r.nIn)).length.toLong).sum
+            tr.count("Codec.encode.ms", Stats.nanos(e0))
+            tr.count("Codec.encode.calls", rels.size)
+            tr.count("Codec.bytes", bytes.toDouble)
             if (bytes * 2 < rawCsv) compressedOps += op.name
-            enc += bytes
-            raw += rels.map(r => 8L * (r.nOut + r.nIn) * r.rows.size).sum
           }
           val r0 = System.nanoTime()
           val (dimHit, genHit) = tr.span("ReuseManager.register")(
@@ -402,7 +417,6 @@ object Phases {
           tr.count("ReuseManager.dim_hits", if (dimHit) 1 else 0)
           tr.count("ReuseManager.gen_hits", if (genHit) 1 else 0)
           tr.count("ReuseManager.hits", if (dimHit || genHit) 1 else 0)
-          rows += rels.map(_.rows.size.toLong).sum
           if (keep) kept += ((rels, tables))
         }
         calls += 1
@@ -416,7 +430,7 @@ object Phases {
       Ops.all.count(o => rm.genCovered(o.name)),
       Ops.all.filter(o => rm.errorsFor(o.name) > 0).map(_.name),
     )
-    new PassResult(calls, rows, enc, raw, cov, kept.toSeq)
+    new PassResult(calls, Stats.nanos(p0), cov, kept.toSeq)
   }
 
   /** Every captured table must decompress to its relation's distinct rows. */

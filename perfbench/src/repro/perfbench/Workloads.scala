@@ -8,9 +8,7 @@ import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 
 /** The main loop's work: `ops` operations in `ms` of wall time. */
-final case class Loop(ops: Long, ms: Double) {
-  def meanMs: Double = ms / math.max(1L, ops)
-}
+final case class Loop(ops: Long, ms: Double)
 
 /** One benchmark workload. `setup` builds its inputs from the seed and
   * registers what the loop needs; it is repeated to time set-up. `loop`
@@ -61,28 +59,25 @@ object Workload {
   def hashSpecs(specs: Seq[QSpec]): String =
     f"${specs.size}%d:${specs.map(s => (s.path, s.rects)).hashCode}%08x"
 
-  /** The op catalog's call rate over the first four shape variants, for
-    * the workloads whose own loop does not call the catalog: passes for
-    * 1.5 s to warm up, then the median rate of eight passes. It runs before
-    * the workload's Spark work: measured after it, the rate came out in two
-    * clusters 1.5x apart from one JVM to the next.
+  /** The op catalog's call rate, for the workloads whose own loop does
+    * not call the catalog: the whole Table IX call loop, one pass on the
+    * Table IX seed to warm up, then the median rate of `CatalogPasses`
+    * passes on this run's inputs. It runs before the workload's Spark work.
     */
   def catalogProbe(env: Env): Map[String, Metric] = {
-    val inputs = Phases.catalogInputs(env.seed, 4)
-    val w0 = System.nanoTime()
-    while (Stats.nanos(w0) < 1500) Phases.catalogPass(env, inputs, keep = false)
-    val passes = (0 until 8).map { _ =>
-      val t0 = System.nanoTime()
-      val calls = Phases.catalogPass(env, inputs, keep = false).calls
-      calls / (Stats.nanos(t0) / 1000)
-    }
-    Map("op_calls_per_s" -> Metric(Stats.median(passes), "1/s"))
+    val inputs = Phases.catalogInputs(env.seed, Phases.CatalogRuns)
+    Phases.tableIXPass(env)
+    val passes = (0 until CatalogPasses).map(_ => Phases.catalogPass(env, inputs, keep = false))
+    passes.foreach(p => Phases.checkCoverage(env, p.coverage))
+    env.details("catalog_pass_calls_per_s") = passes.map(_.callsPerSecond)
+    Map("op_calls_per_s" -> Metric(Stats.median(passes.map(_.callsPerSecond)), "1/s"))
   }
+
+  val CatalogPasses = 2
 
   /** The read path over one table large enough for the Spark hop, for the
     * workloads whose own loop does not query: points and boxes both ways
     * and four filtered scans per cycle, one warm cycle and three measured.
-    * (Driver-only hops take microseconds and vary several-fold between JVMs.)
     */
   def readProbe(env: Env, log: DSLog, g: Registered): Map[String, Metric] = {
     val rng = env.rng(501)
@@ -102,26 +97,42 @@ object Workload {
     )
     val scans = Phases.scanSpecs(env, Seq(g), share = 0.05, perTable = 2, salt = 502)
     val cycle = specs.indices.map(Left(_)) ++ scans.indices.map(Right(_))
-    val (qs, ss) = warmThenMeasure(env, specs, scans, cycle, 1, 3)
+    Phases.readLoop(env, specs, scans, cycle, 0, minCycles = 1)
+    val (qs, ss) = Phases.readLoop(env, specs, scans, cycle, 0, minCycles = 3)
+    if (env.tr.on) Phases.replayHops(env, specs)
     queryMetrics(env, qs) ++ scanMetric(ss)
   }
 
-  /** A read phase of a fixed number of cycles after `warm` untimed ones
-    * (their answers are checked too).
+  /** The write path, for the workloads whose own loop does not register:
+    * a registered relation (cached first) registered and written again into
+    * fresh logs, once to warm up and then `RegisterRuns` times; the median
+    * rate and the stored bytes. The tables written last are checked
+    * against its rows.
     */
-  def warmThenMeasure(env: Env, specs: IndexedSeq[QSpec], scans: IndexedSeq[ScanSpec],
-      cycle: IndexedSeq[Either[Int, Int]], warm: Int, measured: Int): (Samples, Samples) = {
-    // Driver-only queries take microseconds: repeat them until the JIT has
-    // compiled the hop code, which a few cycles would not do.
-    val driverOnly = specs.indices.filter { k =>
-      val q = specs(k)
-      q.path.sliding(2).forall { case Seq(x, y) => q.log.hopTable(x, y).size <= QueryProcessor.SparkHopThreshold }
+  def registrationProbe(env: Env, g: Registered, base: String): Map[String, Metric] = {
+    val df = g.rel.df.cache()
+    val rows = df.count()
+    val rel = g.rel.copy(df = df)
+    val runs = (0 to RegisterRuns).map { i =>
+      val log = new DSLog(env.spark)
+      val t0 = System.nanoTime()
+      val t = Phases.register(env, log, rel)
+      val (dirs, bytes) = Phases.write(env, s"$base/$i", rel, t)
+      (rows / (Stats.nanos(t0) / 1000), bytes, dirs)
     }
-    if (driverOnly.nonEmpty)
-      Phases.readLoop(env, specs, IndexedSeq.empty, driverOnly.map(Left(_)), seconds = 0.5)
-    Phases.readLoop(env, specs, scans, cycle, 0, minCycles = warm)
-    Phases.readLoop(env, specs, scans, cycle, 0, minCycles = measured)
+    df.unpersist(blocking = true)
+    val (_, bytes, (bDir, fDir)) = runs.last
+    Phases.checkStored(env, bDir, Phases.sortRows(g.rows.iterator))
+    Phases.checkStored(env, fDir, Phases.sortRows(Phases.permute(g.rows, rel.nTo).iterator))
+    val rates = runs.tail.map(_._1)
+    env.details("registration_probe_rows_per_s") = rates
+    Map(
+      "ingest_rows_per_s" -> Metric(Stats.median(rates), "1/s"),
+      "stored_bytes_per_raw_byte" -> Metric(bytes.toDouble / g.rawBytes, "B/B"),
+    )
   }
+
+  val RegisterRuns = 3
 
   def scanMetric(ss: Samples): Map[String, Metric] =
     Map("scan_ms_p50" -> Metric(Stats.median(ss.ms.toSeq), "ms"))
@@ -133,33 +144,32 @@ object Workload {
 abstract class Registering(env: Env) extends Workload {
   protected var log: DSLog = _
   protected var regs: Seq[Registered] = Nil
-  protected val regMs = ArrayBuffer.empty[Double]
-  protected var storedBytes = 0L
+  /** `ingest_rows_per_s` and `stored_bytes_per_raw_byte` of the last set-up. */
+  protected var registration = Map.empty[String, Metric]
 
   /** Relations to register, built from the seed; `name` prefixes dirs. */
   protected def relations(): Seq[Rel]
   protected def name: String
 
+  /** Builds and caches the relations, then registers and writes them, as
+    * the ingest workload does; a repetition also measures the rate.
+    */
   def setup(): Unit = {
+    regs.foreach(_.rel.df.unpersist(blocking = true))
     log = new DSLog(env.spark)
-    val rels = relations()
-    val (rs, ms) = Phases.registerAll(env, log, rels, s"${env.work}/$name")
+    val rels = relations().map(r => r.copy(df = r.df.cache()))
+    val rows = rels.map(_.df.count())
+    val (rs, ms, bytes) = Phases.registerAll(env, log, rels, s"${env.work}/$name")
     regs = rs
-    regMs += ms
-    storedBytes = regs.map(g => repro.store.IOUtil.sizeBytes(g.dirs._1) +
-      repro.store.IOUtil.sizeBytes(g.dirs._2)).sum
+    val raw = rels.lazyZip(rows).map((r, n) => 2L * 8 * (r.nTo + r.nFrom) * n).sum
+    registration = Map(
+      "ingest_rows_per_s" -> Metric(rows.sum / (ms / 1000), "1/s"),
+      "stored_bytes_per_raw_byte" -> Metric(bytes.toDouble / raw, "B/B"),
+    )
   }
 
   def fingerprint: Map[String, String] =
     regs.map(g => s"${g.rel.kind}:${g.rel.from}->${g.rel.to}" -> Workload.hashRows(g.rows)).toMap
-
-  /** Rows registered per second of registration over all set-up
-    * repetitions (each registers the same relations), and bytes stored.
-    */
-  protected def registration: Map[String, Metric] = Map(
-    "ingest_rows_per_s" -> Metric(regs.map(_.rows.length).sum * regMs.size / (regMs.sum / 1000), "1/s"),
-    "stored_bytes_per_raw_byte" -> Metric(storedBytes.toDouble / regs.map(_.rawBytes).sum, "B/B"),
-  )
 
   /** Stored tables of every registered relation decompress to its rows. */
   protected def checkStoredTables(): Unit = regs.foreach { g =>
@@ -280,35 +290,26 @@ final class Ingest(env: Env) extends Workload {
       (1L until passes).foreach(_ => env.checks.record(ok, s"ingest ${r.kind}: a pass's table is not lossless"))
     }
 
-  /** Driver-side replays, once per relation kind: local ProvRC over the
-    * sorted relation, the boundary re-merge over its compressed table, and
-    * the codec over that table.
+  /** Replays, once per relation (one per kind): `LineageCompressor.compress`
+    * of both orientations, local ProvRC over the sorted relation, the
+    * boundary re-merge over its compressed table, and the codec over that
+    * table.
     */
   override def replay(): Unit = {
     val tr = env.tr
     var remergeMs, remergeRows = 0.0
-    rels.zip(lastPass).groupBy(_._1.kind).foreach { case (kind, group) =>
-      val (r, (t, _)) = group.head
-      tr.counters(s"LineageCompressor.compress.rows_in.$kind") =
-        group.map(g => relRows(g._1).length).sum.toDouble / group.size
+    Phases.replayCompressor(env, rels)
+    rels.zip(lastPass).foreach { case (r, (t, _)) =>
+      tr.counters(s"LineageCompressor.compress.rows_in.${r.kind}") = relRows(r).length.toDouble
       val sorted = Phases.sortRows(relRows(r).iterator)
       val c0 = System.nanoTime()
-      ProvRC.compress(sorted.iterator, r.nTo, r.nFrom)
-      tr.count(s"ProvRC.compress.us_per_row.$kind", Stats.nanos(c0) * 1000 / sorted.length)
+      tr.span("ProvRC.compress")(ProvRC.compress(sorted.iterator, r.nTo, r.nFrom))
+      tr.count(s"ProvRC.compress.us_per_row.${r.kind}", Stats.nanos(c0) * 1000 / sorted.length)
       val m0 = System.nanoTime()
-      ProvRC.remerge(t.backward, r.nTo, r.nFrom)
+      tr.span("ProvRC.remerge")(ProvRC.remerge(t.backward, r.nTo, r.nFrom))
       remergeMs += Stats.nanos(m0)
       remergeRows += t.backward.size
-      val e0 = System.nanoTime()
-      val blob = Codec.encode(t.backward, r.nTo, r.nFrom)
-      tr.count("Codec.encode.ms", Stats.nanos(e0))
-      tr.count("Codec.encode.calls", 1)
-      tr.count("Codec.bytes", blob.length)
-      tr.count("Codec.bytes.calls", 1)
-      val d0 = System.nanoTime()
-      Codec.decode(blob)
-      tr.count("Codec.decode.ms", Stats.nanos(d0))
-      tr.count("Codec.decode.calls", 1)
+      Phases.replayCodec(env, t.backward)
     }
     tr.count("ProvRC.remerge.us_per_row", remergeMs * 1000 / math.max(1.0, remergeRows))
   }
@@ -350,8 +351,11 @@ final class QueryWide(env: Env) extends Registering(env) {
     val rng = env.rng(301)
     val single = regs.filterNot(_.rel.kind.startsWith("image"))
     // Most queries hop through Spark over the sort permutation, so the
-    // median falls among them; the other tables add driver hops and the
-    // image chain adds the slow multi-hop tail.
+    // median falls among them; the other tables and the image workflow add
+    // driver hops, one to five per query. A query whose cost would
+    // depend on which of a few output cells the seed picks (the five D-RISE
+    // outputs, the LIME detection cells) covers all of them or starts past
+    // them, so that seeds differ in placement, not in the work asked for.
     def one(g: Registered, label: String, fwd: Boolean, rects: Seq[ThetaJoin.Rect]): QSpec = {
       val r = g.rel
       if (fwd) QSpec(s"${r.kind}.$label", log, Seq(r.from, r.to), rects, () => Seq(g.fwdHop))
@@ -367,7 +371,7 @@ final class QueryWide(env: Env) extends Registering(env) {
       one(sort, "bwd.points10", false, Queries.points(out, 10, rng)),
       one(sort, "fwd.box", true, Seq(Queries.box(in, 1e-3, rng))),
       one(sort, "bwd.box", false, Seq(Queries.box(out, 1e-3, rng))),
-      one(drise, "bwd.points10", false, Queries.points(drise.rel.toShape, 10, rng)),
+      one(drise, "bwd.all", false, Seq(drise.rel.toShape.map(d => Interval(0, d - 1)).toVector)),
       one(drise, "fwd.points100", true, Queries.points(drise.rel.fromShape, 100, rng)),
       one(groupby, "fwd.points100", true, Queries.points(groupby.rel.fromShape, 100, rng)),
       one(groupby, "bwd.points10", false, Queries.points(groupby.rel.toShape, 10, rng)),
@@ -376,8 +380,9 @@ final class QueryWide(env: Env) extends Registering(env) {
     val path = image.path
     specs ++= Seq(
       QSpec("image.fwd.points10", log, path, Queries.points(image.firstShape, 10, rng), () => hops.map(_.fwdHop)),
-      QSpec("image.bwd.point", log, path.reverse, Queries.points(image.arrays.last._2, 1, rng),
-        () => hops.reverse.map(_.bwdHop)),
+      // Backward from the last image, before the LIME step.
+      QSpec("image.bwd.points10", log, path.reverse.tail,
+        Queries.points(image.arrays.toMap.apply(path.reverse(1)), 10, rng), () => hops.reverse.tail.map(_.bwdHop)),
     )
     // One scan of each orientation of the three single-hop tables.
     scans = Phases.scanSpecs(env, single, share = 0.01, perTable = 1, salt = 303)
@@ -400,6 +405,8 @@ final class QueryWide(env: Env) extends Registering(env) {
 
   override def early(): Map[String, Metric] = Workload.catalogProbe(env)
 
+  override def replay(): Unit = Phases.replayHops(env, specs)
+
   def check(): Unit = checkStoredTables()
 
   override def fingerprint: Map[String, String] = super.fingerprint + ("queries" -> Workload.hashSpecs(specs))
@@ -409,66 +416,67 @@ final class QueryWide(env: Env) extends Registering(env) {
 
 /** The Table IX call loop: capture -> ProvRC.compress -> ReuseManager. */
 final class OpCatalog(env: Env) extends Workload {
-  /** Table IX on the paper's catalog: ProvRC, dim_sig and gen_sig coverage
-    * and the ops with a reuse misprediction.
-    */
-  val Expected = Phases.Coverage(124, 126, 104, Seq("cross"))
-  val Runs = 20
-
   private var inputs: IndexedSeq[IndexedSeq[Seq[NDArray]]] = IndexedSeq.empty
-  private var calls, lineageRows, enc, raw = 0L
-  private var ms = 0.0
+  private var passes = ArrayBuffer.empty[Phases.PassResult]
   private val coverages = ArrayBuffer.empty[Phases.Coverage]
   private var captured: Seq[(Seq[LocalRel], Seq[Vector[CRow]])] = Nil
-
-  def setup(): Unit = inputs = Phases.catalogInputs(env.seed, Runs)
-
-  override def warmup(): Unit = loop(4.0)
-
-  def loop(seconds: Double): Loop = {
-    val t0 = System.nanoTime()
-    var ops = 0L
-    lineageRows = 0L; enc = 0L; raw = 0L
-    val passMs = ArrayBuffer.empty[Double]
-    while (Stats.nanos(t0) < seconds * 1000 || ops == 0) {
-      val p0 = System.nanoTime()
-      val p = Phases.catalogPass(env, inputs, keep = captured.isEmpty)
-      passMs += Stats.nanos(p0)
-      if (captured.isEmpty) captured = p.captured
-      ops += p.calls
-      lineageRows += p.lineageRows
-      enc += p.encodedBytes
-      raw += p.rawBytes
-      coverages += p.coverage
-    }
-    ms = Stats.nanos(t0)
-    calls = ops
-    env.details("pass_ms") = passMs.toSeq
-    Loop(ops, ms)
-  }
-
-  def endToEnd: Map[String, Metric] = Map(
-    "op_calls_per_s" -> Metric(calls / (ms / 1000), "1/s"),
-    "ingest_rows_per_s" -> Metric(lineageRows / (ms / 1000), "1/s"),
-    "stored_bytes_per_raw_byte" -> Metric(enc.toDouble / raw, "B/B"),
-  )
-
-  /** The read path over a sort permutation registered and stored after
-    * the loop (the catalog's own tables are too small to reach Spark).
+  /** The sort permutation the read and write probes use (the catalog's own
+    * tables are too small to reach Spark).
     */
-  def secondary(): Map[String, Metric] = {
-    val log = new DSLog(env.spark)
+  private var log: DSLog = _
+  private var sort: Registered = _
+
+  def setup(): Unit = {
+    inputs = Phases.catalogInputs(env.seed, Phases.CatalogRuns)
+    log = new DSLog(env.spark)
     val r = Rel.bounded("sort", "sort.in", "sort.out", 1,
       LineageGen.sortPerm(env.spark, env.sz(32768), seed = env.seed + 7))
-    val (regs, _) = Phases.registerAll(env, log, Seq(r), s"${env.work}/catalog")
-    Workload.readProbe(env, log, regs.head)
+    sort = Phases.registerAll(env, log, Seq(r), s"${env.work}/catalog")._1.head
   }
 
+  /** Two untimed passes, the first on the Table IX seed: after one pass,
+    * the next still ran about a tenth slower than later ones.
+    */
+  override def warmup(): Unit = {
+    Phases.tableIXPass(env)
+    coverages += Phases.catalogPass(env, inputs, keep = false).coverage
+  }
+
+  /** Whole passes until `seconds` have passed and at least `MinPasses`
+    * have run; `op_calls_per_s` is the median pass rate.
+    */
+  def loop(seconds: Double): Loop = {
+    val t0 = System.nanoTime()
+    passes = ArrayBuffer.empty[Phases.PassResult]
+    while (Stats.nanos(t0) < seconds * 1000 || passes.size < OpCatalog.MinPasses) {
+      val p = Phases.catalogPass(env, inputs, keep = captured.isEmpty)
+      if (captured.isEmpty) captured = p.captured
+      coverages += p.coverage
+      passes += p
+    }
+    env.details("catalog_pass_calls_per_s") = passes.map(_.callsPerSecond)
+    Loop(passes.map(_.calls.toLong).sum, Stats.nanos(t0))
+  }
+
+  def endToEnd: Map[String, Metric] =
+    Map("op_calls_per_s" -> Metric(Stats.median(passes.map(_.callsPerSecond).toSeq), "1/s"))
+
+  def secondary(): Map[String, Metric] =
+    Workload.readProbe(env, log, sort) ++ Workload.registrationProbe(env, sort, s"${env.work}/regprobe")
+
   def check(): Unit = {
-    coverages.foreach(c => env.checks.record(c == Expected, s"op catalog coverage $c != $Expected"))
+    coverages.foreach(c => Phases.checkCoverage(env, c))
+    coverages.foreach(c => env.checks.record(c == coverages.head, s"op catalog coverage $c != ${coverages.head}"))
     Phases.checkLossless(env, captured)
+    Phases.checkStored(env, sort.dirs._1, Phases.sortRows(sort.rows.iterator))
+    Phases.checkStored(env, sort.dirs._2, Phases.sortRows(Phases.permute(sort.rows, 1).iterator))
   }
 
   def fingerprint: Map[String, String] = Map(
-    "inputs" -> f"${inputs.map(_.size).sum}%d:${inputs.map(_.map(_.map(a => (a.shape, a.data.toSeq)))).hashCode}%08x")
+    "inputs" -> f"${inputs.map(_.size).sum}%d:${inputs.map(_.map(_.map(a => (a.shape, a.data.toSeq)))).hashCode}%08x",
+    s"sort:${sort.rel.from}->${sort.rel.to}" -> Workload.hashRows(sort.rows))
+}
+
+object OpCatalog {
+  val MinPasses = 2
 }
