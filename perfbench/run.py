@@ -36,7 +36,7 @@ SPARK_JARS = os.path.join(spark_home(), "jars")
 PROGRAM_SRC = os.path.join(ROOT, "src", "main", "scala")
 PROGRAM_RES = os.path.join(ROOT, "src", "main", "resources")
 BENCH_SRC = os.path.join(HERE, "src")
-WORKLOADS = ("ingest", "query_wide", "op_catalog")
+WORKLOADS = ("ingest", "query_wide")
 RUN_TIMEOUT_S = 170
 # Spark on Java 17 needs these packages opened to the unnamed module.
 JAVA_OPENS = [

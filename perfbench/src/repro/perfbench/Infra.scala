@@ -121,10 +121,10 @@ final class Tracer {
 
   /** Self time per span name: the span's duration minus the part of its
     * interval its child spans cover (children never overlap: one thread).
-    * Only the first `upTo` spans count.
+    * Only the spans from index `from` until `until` count.
     */
-  def selfMs(upTo: Int): Map[String, Double] = {
-    val first = spans.take(upTo)
+  def selfMs(from: Int, until: Int): Map[String, Double] = {
+    val first = spans.slice(from, until)
     val childNs = mutable.Map.empty[Int, Long].withDefaultValue(0L)
     first.foreach(s => if (s.parent >= 0) childNs(s.parent) += s.end - s.start)
     first

@@ -21,9 +21,14 @@ object Main {
   val Kinds: Seq[String] = Seq("elementwise", "aggregate", "tile", "matvec", "matmul", "conv",
     "sort", "lime", "drise", "groupby", "join")
 
-  /** Modules whose self time the traced run reports. */
-  val Layers: Seq[String] = Seq("DSLog", "ProvRC", "Codec", "ProvRCTable", "QueryProcessor",
-    "ProvRCTableProvider", "ReuseManager", "Ops")
+  /** Modules whose self time the traced run reports, per loop operation. */
+  val LoopLayers: Seq[String] = Seq("DSLog", "ProvRCTable", "QueryProcessor", "ProvRCTableProvider")
+
+  /** Modules of the op catalog, whose self time is per catalog call. */
+  val CatalogLayers: Seq[String] = Seq("Ops", "ProvRC", "ReuseManager")
+
+  /** Catalog passes with spans in a traced run. */
+  val TracedCatalogPasses = 2
 
   /** Set-up repetitions; `setup_s` takes their median. */
   val SetupRuns = 2
@@ -38,9 +43,8 @@ object Main {
     val scale = args.getOrElse("scale", "1").toDouble
     val work = out.resolve(s"work-${ProcessHandle.current().pid()}")
 
-    val t0 = System.nanoTime()
     val cores = Runtime.getRuntime.availableProcessors()
-    val spark = SparkSession.builder
+    def session(): SparkSession = SparkSession.builder
       .master(s"local[$cores]")
       .appName("perfbench")
       .config("spark.ui.enabled", "false")
@@ -50,41 +54,41 @@ object Main {
       .config("spark.local.dir", work.resolve("spark-local").toString)
       .config("spark.sql.warehouse.dir", work.resolve("warehouse").toString)
       .getOrCreate()
-    try {
-      spark.range(1).count()
-      val sparkUpMs = Stats.nanos(t0)
-      val counters = new SparkCounters
-      spark.sparkContext.addSparkListener(counters)
-      val env = new Env(spark, seed, scale, work, new Tracer, new Checks, counters)
-      run(env, workload, seconds, trace, sparkUpMs, args, out)
-    } finally {
-      spark.stop()
+    val env = new Env(() => session(), seed, scale, work, new Tracer, new Checks, new SparkCounters)
+    try run(env, workload, seconds, trace, args, out)
+    finally {
+      if (env.sparkStarted) env.spark.stop()
       deleteTree(work)
     }
   }
 
   private def run(env: Env, workload: String, seconds: Double, trace: Boolean,
-      sparkUpMs: Double, args: Map[String, String], out: Path): Unit = {
+      args: Map[String, String], out: Path): Unit = {
     val w = Workload(workload, env)
-    val early = w.early()
+    val phases = scala.collection.mutable.LinkedHashMap.empty[String, Double]
+    def phase[A](name: String)(f: => A): A = {
+      val t0 = System.nanoTime()
+      try f finally phases(name) = phases.getOrElse(name, 0.0) + Stats.nanos(t0) / 1000
+    }
+    val catalog = if (trace) Map.empty[String, Metric] else phase("catalog")(Workload.catalogProbe(env, seconds))
+
+    val t0 = System.nanoTime()
+    env.spark.range(1).count()
+    val sparkUpMs = Stats.nanos(t0)
+    env.spark.sparkContext.addSparkListener(env.sparkCounters)
     val setupMs = (0 until SetupRuns).map { _ =>
       val t0 = System.nanoTime()
       w.setup()
       Stats.nanos(t0)
     }
     val heapMb = retainedHeapMb()
-    val phases = scala.collection.mutable.LinkedHashMap.empty[String, Double]
-    def phase[A](name: String)(f: => A): A = {
-      val t0 = System.nanoTime()
-      try f finally phases(name) = phases.getOrElse(name, 0.0) + Stats.nanos(t0) / 1000
-    }
     phase("warmup")(w.warmup())
 
     val details = scala.collection.mutable.LinkedHashMap.empty[String, Any]
     val metrics: Map[String, Metric] =
       if (!trace) {
         phase("loop")(w.loop(seconds))
-        val e2e = early ++ w.endToEnd ++ phase("secondary")(w.secondary())
+        val e2e = catalog ++ w.endToEnd ++ phase("secondary")(w.secondary())
         phase("check")(w.check())
         e2e ++ Map(
           "setup_s" -> Metric((sparkUpMs + Stats.median(setupMs)) / 1000, "s"),
@@ -138,7 +142,9 @@ object Main {
   /** The loop in four quarters: untraced, traced, traced, untraced, so a
     * steady drift (warm-up still under way) cancels out of the tracing
     * overhead. The per-layer metrics come from the traced quarters, the
-    * secondary phase and the replays.
+    * secondary phase, the replays and, for the catalog's layers, a pass on
+    * the Table IX seed to warm up and then `TracedCatalogPasses` passes on
+    * the run's inputs with spans.
     */
   private def traced(env: Env, w: Workload, seconds: Double): Map[String, Metric] = {
     val tr = env.tr
@@ -164,6 +170,13 @@ object Main {
     traceWhile { w.secondary(); w.replay() }
     val scanParts = sparkSpan("scan_partitions")
     w.check()
+    val catalogInputs = Phases.catalogInputs(env.seed, Phases.CatalogRuns)
+    Phases.tableIXPass(env)
+    val catalogFrom = tr.spans.size
+    var catalog = Seq.empty[Phases.PassResult]
+    traceWhile { catalog = Phases.catalogLoop(env, catalogInputs, 0, TracedCatalogPasses) }
+    Phases.checkPasses(env, catalog)
+    val catalogCalls = math.max(1, catalog.map(_.calls).sum).toDouble
 
     val ops = math.max(1L, spanOps).toDouble
     val c = tr.counters
@@ -175,10 +188,12 @@ object Main {
     val queries = tr.named("DSLog.provQuery").size.toDouble
     val scans = tr.named("ProvRCTableProvider.scan").size.toDouble
     val registers = tr.named("ReuseManager.register").size.toDouble
-    val self = {
-      val sm = tr.selfMs(loopSpans)
-      Layers.map(l => s"self_ms.$l" -> sm.filter(_._1.startsWith(l + ".")).values.sum / ops)
+    def self(layers: Seq[String], from: Int, until: Int, per: Double) = {
+      val sm = tr.selfMs(from, until)
+      layers.map(l => s"self_ms.$l" -> sm.filter(_._1.startsWith(l + ".")).values.sum / per)
     }
+    val selfTimes = self(LoopLayers, 0, loopSpans, ops) ++
+      self(CatalogLayers, catalogFrom, tr.spans.size, catalogCalls)
     val m = Seq[(String, Double, String)](
       ("DSLog.registerLineage.ms", spanMean("DSLog.registerLineage"), "ms"),
       ("DSLog.provQuery.ms", spanMean("DSLog.provQuery"), "ms"),
@@ -222,7 +237,7 @@ object Main {
       ("jvm.gc_ms", loopGcMs / ops, "ms"),
       ("trace.overhead_pct", 100.0 * ((spanMs / ops) / (plainMs / math.max(1L, plainOps)) - 1), "%"),
       ("trace.spans", loopSpans / ops, "count"),
-    ) ++ self.map { case (n, v) => (n, v, "ms") }
+    ) ++ selfTimes.map { case (n, v) => (n, v, "ms") }
     m.map { case (n, v, u) => n -> Metric(v, u) }.toMap
   }
 

@@ -15,7 +15,7 @@ import scala.util.Random
   * inputs, a scratch directory, the span recorder and the output checks.
   */
 final class Env(
-    val spark: SparkSession,
+    startSpark: () => SparkSession,
     val seed: Long,
     val scale: Double,
     val work: Path,
@@ -23,6 +23,10 @@ final class Env(
     val checks: Checks,
     val sparkCounters: SparkCounters,
 ) {
+  private var started = false
+  /** The Spark session, started on first use. */
+  lazy val spark: SparkSession = { started = true; startSpark() }
+  def sparkStarted: Boolean = started
   /** Facts about the run that are not metrics, printed with the result. */
   val details = mutable.LinkedHashMap.empty[String, Any]
   def sz(v: Int): Int = math.max(4, (v * scale).round.toInt)
@@ -355,7 +359,7 @@ object Phases {
 
   /** One untimed pass on the Table IX seed, checked against Table IX. */
   def tableIXPass(env: Env): Unit = {
-    val c = catalogPass(env, catalogInputs(TableIXSeed, CatalogRuns), keep = false).coverage
+    val c = catalogPass(env, catalogInputs(TableIXSeed, CatalogRuns), checkTables = false).coverage
     env.checks.record(c == TableIX, s"op catalog on the Table IX seed: $c != $TableIX")
   }
 
@@ -373,13 +377,25 @@ object Phases {
   /** Calls per op in a pass, over its shape variants (Table IX). */
   val CatalogRuns = 20
 
-  final class PassResult(val calls: Int, val ms: Double, val coverage: Coverage,
-      val captured: Seq[(Seq[LocalRel], Seq[Vector[CRow]])]) {
+  final class PassResult(val calls: Int, val ms: Double, val coverage: Coverage) {
     def callsPerSecond: Double = calls / (ms / 1000)
   }
 
-  /** One pass of the Table IX call loop: capture -> compress -> register. */
-  def catalogPass(env: Env, inputs: IndexedSeq[IndexedSeq[Seq[NDArray]]], keep: Boolean): PassResult = {
+  /** The catalog's call rate over several passes: all their calls over all
+    * their time. A pass's own rate moves by up to a half from one pass to
+    * the next in the same JVM, as the JIT keeps recompiling shared code
+    * (the sort merges, `Vector.map`) for a dozen passes; of the estimators
+    * tried on ten-seed sets (median pass, best pass, each op's best time)
+    * the rate over all passes spread least.
+    */
+  def catalogRate(passes: Seq[PassResult]): Double =
+    passes.map(_.calls).sum / (passes.map(_.ms).sum / 1000)
+
+  /** One pass of the Table IX call loop: capture -> compress -> register.
+    * With `checkTables`, every captured table is checked to be lossless
+    * after the pass, outside its time.
+    */
+  def catalogPass(env: Env, inputs: IndexedSeq[IndexedSeq[Seq[NDArray]]], checkTables: Boolean): PassResult = {
     val tr = env.tr
     val rm = new ReuseManager
     val compressedOps = mutable.Set.empty[String]
@@ -402,12 +418,7 @@ object Phases {
           }
           if (run == 0) {
             val rawCsv = rels.map(_.rawCsvBytes).sum
-            val e0 = System.nanoTime()
-            val bytes = rels.lazyZip(tables).map((r, t) =>
-              tr.span("Codec.encode")(Codec.encode(t, r.nOut, r.nIn)).length.toLong).sum
-            tr.count("Codec.encode.ms", Stats.nanos(e0))
-            tr.count("Codec.encode.calls", rels.size)
-            tr.count("Codec.bytes", bytes.toDouble)
+            val bytes = rels.lazyZip(tables).map((r, t) => Codec.encode(t, r.nOut, r.nIn).length.toLong).sum
             if (bytes * 2 < rawCsv) compressedOps += op.name
           }
           val r0 = System.nanoTime()
@@ -417,7 +428,7 @@ object Phases {
           tr.count("ReuseManager.dim_hits", if (dimHit) 1 else 0)
           tr.count("ReuseManager.gen_hits", if (genHit) 1 else 0)
           tr.count("ReuseManager.hits", if (dimHit || genHit) 1 else 0)
-          if (keep) kept += ((rels, tables))
+          if (checkTables) kept += ((rels, tables))
         }
         calls += 1
       }
@@ -430,7 +441,32 @@ object Phases {
       Ops.all.count(o => rm.genCovered(o.name)),
       Ops.all.filter(o => rm.errorsFor(o.name) > 0).map(_.name),
     )
-    new PassResult(calls, Stats.nanos(p0), cov, kept.toSeq)
+    val ms = Stats.nanos(p0)
+    checkLossless(env, kept.toSeq)
+    new PassResult(calls, ms, cov)
+  }
+
+  /** Whole catalog passes until `seconds` have passed and at least
+    * `minPasses` have run; the first checks its captured tables.
+    */
+  def catalogLoop(env: Env, inputs: IndexedSeq[IndexedSeq[Seq[NDArray]]], seconds: Double,
+      minPasses: Int): Seq[PassResult] = {
+    val t0 = System.nanoTime()
+    val passes = ArrayBuffer.empty[PassResult]
+    while (Stats.nanos(t0) < seconds * 1000 || passes.size < minPasses)
+      passes += catalogPass(env, inputs, checkTables = passes.isEmpty)
+    passes.toSeq
+  }
+
+  /** Every pass's mispredictions are allowed and its coverage is the first
+    * pass's.
+    */
+  def checkPasses(env: Env, passes: Seq[PassResult]): Unit = {
+    passes.foreach { p =>
+      checkCoverage(env, p.coverage)
+      env.checks.record(p.coverage == passes.head.coverage,
+        s"op catalog coverage ${p.coverage} != ${passes.head.coverage}")
+    }
   }
 
   /** Every captured table must decompress to its relation's distinct rows. */

@@ -25,8 +25,6 @@ trait Workload {
   def replay(): Unit = ()
   /** Untimed operations before the measured loop, until the JIT has settled. */
   def warmup(): Unit = loop(1.0)
-  /** Metrics measured right after Spark start-up, before any other work. */
-  def early(): Map[String, Metric] = Map.empty
   /** Row counts and content hashes of the generated inputs. */
   def fingerprint: Map[String, String]
 }
@@ -35,7 +33,6 @@ object Workload {
   def apply(name: String, env: Env): Workload = name match {
     case "ingest"      => new Ingest(env)
     case "query_wide"  => new QueryWide(env)
-    case "op_catalog"  => new OpCatalog(env)
     case other         => throw new IllegalArgumentException(s"unknown workload $other")
   }
 
@@ -59,21 +56,27 @@ object Workload {
   def hashSpecs(specs: Seq[QSpec]): String =
     f"${specs.size}%d:${specs.map(s => (s.path, s.rects)).hashCode}%08x"
 
-  /** The op catalog's call rate, for the workloads whose own loop does
-    * not call the catalog: the whole Table IX call loop, one pass on the
-    * Table IX seed to warm up, then the median rate of `CatalogPasses`
-    * passes on this run's inputs. It runs before the workload's Spark work.
+  /** `op_calls_per_s`, measured the same way on every workload, first in
+    * the JVM and before Spark starts: the whole Table IX call loop (capture
+    * -> ProvRC.compress -> ReuseManager.register over every op in
+    * `Ops.all`), one checked pass on the Table IX seed to warm up, then
+    * whole passes on this run's inputs until `seconds` have passed and at
+    * least `CatalogPasses` have run, rated as `Phases.catalogRate`. In a
+    * JVM that has run Spark the same passes ran slower and their rate
+    * differed by a third from one JVM to the next, most likely because the
+    * JIT had Spark's code queued and had profiled shared library code under
+    * Spark.
     */
-  def catalogProbe(env: Env): Map[String, Metric] = {
+  def catalogProbe(env: Env, seconds: Double): Map[String, Metric] = {
     val inputs = Phases.catalogInputs(env.seed, Phases.CatalogRuns)
     Phases.tableIXPass(env)
-    val passes = (0 until CatalogPasses).map(_ => Phases.catalogPass(env, inputs, keep = false))
-    passes.foreach(p => Phases.checkCoverage(env, p.coverage))
+    val passes = Phases.catalogLoop(env, inputs, seconds, CatalogPasses)
+    Phases.checkPasses(env, passes)
     env.details("catalog_pass_calls_per_s") = passes.map(_.callsPerSecond)
-    Map("op_calls_per_s" -> Metric(Stats.median(passes.map(_.callsPerSecond)), "1/s"))
+    Map("op_calls_per_s" -> Metric(Phases.catalogRate(passes), "1/s"))
   }
 
-  val CatalogPasses = 2
+  val CatalogPasses = 8
 
   /** The read path over one table large enough for the Spark hop, for the
     * workloads whose own loop does not query: points and boxes both ways
@@ -102,37 +105,6 @@ object Workload {
     if (env.tr.on) Phases.replayHops(env, specs)
     queryMetrics(env, qs) ++ scanMetric(ss)
   }
-
-  /** The write path, for the workloads whose own loop does not register:
-    * a registered relation (cached first) registered and written again into
-    * fresh logs, once to warm up and then `RegisterRuns` times; the median
-    * rate and the stored bytes. The tables written last are checked
-    * against its rows.
-    */
-  def registrationProbe(env: Env, g: Registered, base: String): Map[String, Metric] = {
-    val df = g.rel.df.cache()
-    val rows = df.count()
-    val rel = g.rel.copy(df = df)
-    val runs = (0 to RegisterRuns).map { i =>
-      val log = new DSLog(env.spark)
-      val t0 = System.nanoTime()
-      val t = Phases.register(env, log, rel)
-      val (dirs, bytes) = Phases.write(env, s"$base/$i", rel, t)
-      (rows / (Stats.nanos(t0) / 1000), bytes, dirs)
-    }
-    df.unpersist(blocking = true)
-    val (_, bytes, (bDir, fDir)) = runs.last
-    Phases.checkStored(env, bDir, Phases.sortRows(g.rows.iterator))
-    Phases.checkStored(env, fDir, Phases.sortRows(Phases.permute(g.rows, rel.nTo).iterator))
-    val rates = runs.tail.map(_._1)
-    env.details("registration_probe_rows_per_s") = rates
-    Map(
-      "ingest_rows_per_s" -> Metric(Stats.median(rates), "1/s"),
-      "stored_bytes_per_raw_byte" -> Metric(bytes.toDouble / g.rawBytes, "B/B"),
-    )
-  }
-
-  val RegisterRuns = 3
 
   def scanMetric(ss: Samples): Map[String, Metric] =
     Map("scan_ms_p50" -> Metric(Stats.median(ss.ms.toSeq), "ms"))
@@ -272,8 +244,6 @@ final class Ingest(env: Env) extends Workload {
     Workload.readProbe(env, lastLog, new Registered(r, t, dirs, relRows(r)))
   }
 
-  override def early(): Map[String, Metric] = Workload.catalogProbe(env)
-
   /** Every registered table decompresses to its relation's rows; the last
     * pass's tables are read back from disk, the others checked in memory.
     * Each registration counts once.
@@ -403,80 +373,9 @@ final class QueryWide(env: Env) extends Registering(env) {
 
   def secondary(): Map[String, Metric] = Map.empty
 
-  override def early(): Map[String, Metric] = Workload.catalogProbe(env)
-
   override def replay(): Unit = Phases.replayHops(env, specs)
 
   def check(): Unit = checkStoredTables()
 
   override def fingerprint: Map[String, String] = super.fingerprint + ("queries" -> Workload.hashSpecs(specs))
-}
-
-// ------------------------------------------------------------ op_catalog
-
-/** The Table IX call loop: capture -> ProvRC.compress -> ReuseManager. */
-final class OpCatalog(env: Env) extends Workload {
-  private var inputs: IndexedSeq[IndexedSeq[Seq[NDArray]]] = IndexedSeq.empty
-  private var passes = ArrayBuffer.empty[Phases.PassResult]
-  private val coverages = ArrayBuffer.empty[Phases.Coverage]
-  private var captured: Seq[(Seq[LocalRel], Seq[Vector[CRow]])] = Nil
-  /** The sort permutation the read and write probes use (the catalog's own
-    * tables are too small to reach Spark).
-    */
-  private var log: DSLog = _
-  private var sort: Registered = _
-
-  def setup(): Unit = {
-    inputs = Phases.catalogInputs(env.seed, Phases.CatalogRuns)
-    log = new DSLog(env.spark)
-    val r = Rel.bounded("sort", "sort.in", "sort.out", 1,
-      LineageGen.sortPerm(env.spark, env.sz(32768), seed = env.seed + 7))
-    sort = Phases.registerAll(env, log, Seq(r), s"${env.work}/catalog")._1.head
-  }
-
-  /** Two untimed passes, the first on the Table IX seed: after one pass,
-    * the next still ran about a tenth slower than later ones.
-    */
-  override def warmup(): Unit = {
-    Phases.tableIXPass(env)
-    coverages += Phases.catalogPass(env, inputs, keep = false).coverage
-  }
-
-  /** Whole passes until `seconds` have passed and at least `MinPasses`
-    * have run; `op_calls_per_s` is the median pass rate.
-    */
-  def loop(seconds: Double): Loop = {
-    val t0 = System.nanoTime()
-    passes = ArrayBuffer.empty[Phases.PassResult]
-    while (Stats.nanos(t0) < seconds * 1000 || passes.size < OpCatalog.MinPasses) {
-      val p = Phases.catalogPass(env, inputs, keep = captured.isEmpty)
-      if (captured.isEmpty) captured = p.captured
-      coverages += p.coverage
-      passes += p
-    }
-    env.details("catalog_pass_calls_per_s") = passes.map(_.callsPerSecond)
-    Loop(passes.map(_.calls.toLong).sum, Stats.nanos(t0))
-  }
-
-  def endToEnd: Map[String, Metric] =
-    Map("op_calls_per_s" -> Metric(Stats.median(passes.map(_.callsPerSecond).toSeq), "1/s"))
-
-  def secondary(): Map[String, Metric] =
-    Workload.readProbe(env, log, sort) ++ Workload.registrationProbe(env, sort, s"${env.work}/regprobe")
-
-  def check(): Unit = {
-    coverages.foreach(c => Phases.checkCoverage(env, c))
-    coverages.foreach(c => env.checks.record(c == coverages.head, s"op catalog coverage $c != ${coverages.head}"))
-    Phases.checkLossless(env, captured)
-    Phases.checkStored(env, sort.dirs._1, Phases.sortRows(sort.rows.iterator))
-    Phases.checkStored(env, sort.dirs._2, Phases.sortRows(Phases.permute(sort.rows, 1).iterator))
-  }
-
-  def fingerprint: Map[String, String] = Map(
-    "inputs" -> f"${inputs.map(_.size).sum}%d:${inputs.map(_.map(_.map(a => (a.shape, a.data.toSeq)))).hashCode}%08x",
-    s"sort:${sort.rel.from}->${sort.rel.to}" -> Workload.hashRows(sort.rows))
-}
-
-object OpCatalog {
-  val MinPasses = 2
 }
