@@ -1,6 +1,6 @@
 package repro.bench
 
-import java.nio.file.Files
+import java.nio.file.{Files, Paths}
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.arrays._
 import repro.core._
@@ -99,10 +99,11 @@ object Benchmarks {
         TurboRC.write(cached, s"$dir/trc")
         perFormat("Turbo-RC") += IOUtil.sizeBytes(s"$dir/trc")
         val compressed = LineageCompressor.compress(cached, nOut)
-        val nIn = cached.columns.length - nOut
-        ProvRCStore.write(s"$dir/prc/t.prc", compressed, nOut, nIn, gzip = false)
+        val cols = cached.columns.toSeq
+        val nIn = cols.size - nOut
+        ProvRCTable.write(s"$dir/prc", compressed, nOut, nIn, cols.take(nOut), cols.drop(nOut))
         perFormat("ProvRC") += IOUtil.sizeBytes(s"$dir/prc")
-        ProvRCStore.write(s"$dir/prcgz/t.prc.gz", compressed, nOut, nIn, gzip = true)
+        Codec.writeFile(Paths.get(s"$dir/prcgz/t.prc.gz"), compressed, nOut, nIn, gzip = true, cols)
         perFormat("ProvRC-GZip") += IOUtil.sizeBytes(s"$dir/prcgz")
         cached.unpersist()
         IOUtil.deleteRecursively(dir)

@@ -1,7 +1,6 @@
 package repro.core
 
-import java.nio.file.{Files, Paths}
-import java.util.Properties
+import java.nio.file.{Path, Paths}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions.GenericInternalRow
 import org.apache.spark.sql.connector.catalog.{SupportsRead, Table, TableCapability, TableProvider}
@@ -27,7 +26,9 @@ import scala.jdk.CollectionConverters._
   */
 object ProvRCTable {
 
-  /** Write a table directory: the compressed rows + a `_meta` sidecar. */
+  /** Write a table directory holding one self-describing file, `table.prc`,
+    * whose Codec header carries the arities and column names.
+    */
   def write(
       dir: String,
       rows: Vector[CRow],
@@ -35,39 +36,22 @@ object ProvRCTable {
       nIn: Int,
       keyNames: Seq[String],
       valNames: Seq[String],
-      gzip: Boolean = false,
   ): Unit = {
     require(keyNames.size == nOut && valNames.size == nIn)
-    val d = Paths.get(dir)
-    Files.createDirectories(d)
-    Codec.writeFile(d.resolve("table.prc"), rows, nOut, nIn, gzip)
-    val p = new Properties()
-    p.setProperty("nOut", nOut.toString)
-    p.setProperty("nIn", nIn.toString)
-    p.setProperty("names", (keyNames ++ valNames).mkString(","))
-    p.setProperty("gzip", gzip.toString)
-    val out = Files.newOutputStream(d.resolve("_meta"))
-    try p.store(out, "provrc table")
-    finally out.close()
+    Codec.writeFile(file(dir), rows, nOut, nIn, gzip = false, keyNames ++ valNames)
   }
 
-  private[core] final case class Meta(nOut: Int, nIn: Int, names: Seq[String], gzip: Boolean)
+  private[core] def file(dir: String): Path = Paths.get(dir, "table.prc")
 
-  private[core] def readMeta(dir: String): Meta = {
-    val p = new Properties()
-    val in = Files.newInputStream(Paths.get(dir, "_meta"))
-    try p.load(in)
-    finally in.close()
-    Meta(
-      p.getProperty("nOut").toInt,
-      p.getProperty("nIn").toInt,
-      p.getProperty("names").split(",").toSeq,
-      p.getProperty("gzip").toBoolean,
-    )
+  /** The stored table's header; a table must name its columns. */
+  private[core] def header(dir: String): Codec.Header = {
+    val h = Codec.readHeader(file(dir))
+    require(h.names.size == h.nOut + h.nIn, s"${file(dir)} names no columns")
+    h
   }
 
-  private[core] def schemaOf(meta: Meta): StructType =
-    StructType(meta.names.map(n => StructField(n, LongType, nullable = false)))
+  private[core] def schemaOf(h: Codec.Header): StructType =
+    StructType(h.names.map(n => StructField(n, LongType, nullable = false)))
 
   /** Bound sentinel for unconstrained axes — wide enough to cover any real
     * index, narrow enough that delta arithmetic cannot overflow.
@@ -79,7 +63,7 @@ final class ProvRCDataSource extends TableProvider with DataSourceRegister {
   override def shortName(): String = "provrc"
 
   override def inferSchema(options: CaseInsensitiveStringMap): StructType =
-    ProvRCTable.schemaOf(ProvRCTable.readMeta(options.get("path")))
+    ProvRCTable.schemaOf(ProvRCTable.header(options.get("path")))
 
   override def getTable(
       schema: StructType,
@@ -89,66 +73,68 @@ final class ProvRCDataSource extends TableProvider with DataSourceRegister {
 }
 
 private final class ProvRCTableImpl(path: String) extends Table with SupportsRead {
-  private val meta = ProvRCTable.readMeta(path)
+  private val header = ProvRCTable.header(path)
   override def name(): String = s"provrc:$path"
-  override def schema(): StructType = ProvRCTable.schemaOf(meta)
+  override def schema(): StructType = ProvRCTable.schemaOf(header)
   override def capabilities(): java.util.Set[TableCapability] =
     Set(TableCapability.BATCH_READ).asJava
   override def newScanBuilder(options: CaseInsensitiveStringMap): ScanBuilder =
-    new ProvRCScanBuilder(path, meta)
+    new ProvRCScanBuilder(path, header)
 }
 
-private final class ProvRCScanBuilder(path: String, meta: ProvRCTable.Meta)
+private final class ProvRCScanBuilder(path: String, header: Codec.Header)
     extends ScanBuilder with SupportsPushDownFilters {
 
   private var pushed: Array[Filter] = Array.empty
   private val keyIndex: Map[String, Int] =
-    meta.names.take(meta.nOut).zipWithIndex.toMap
+    header.names.take(header.nOut).zipWithIndex.toMap
 
-  private def pushable(f: Filter): Boolean = f match {
-    case EqualTo(a, _: java.lang.Long)            => keyIndex.contains(a)
-    case EqualTo(a, _: java.lang.Integer)         => keyIndex.contains(a)
-    case GreaterThan(a, _: java.lang.Long)        => keyIndex.contains(a)
-    case GreaterThan(a, _: java.lang.Integer)     => keyIndex.contains(a)
-    case GreaterThanOrEqual(a, _: java.lang.Long)    => keyIndex.contains(a)
-    case GreaterThanOrEqual(a, _: java.lang.Integer) => keyIndex.contains(a)
-    case LessThan(a, _: java.lang.Long)           => keyIndex.contains(a)
-    case LessThan(a, _: java.lang.Integer)        => keyIndex.contains(a)
-    case LessThanOrEqual(a, _: java.lang.Long)    => keyIndex.contains(a)
-    case LessThanOrEqual(a, _: java.lang.Integer) => keyIndex.contains(a)
-    case _                                        => false
+  /** The bounds a filter puts on one key axis, as `(axis, lo, hi)`; `None`
+    * when the scan cannot answer it in situ and leaves it to Spark.
+    */
+  private def bounds(f: Filter): Option[(Int, Long, Long)] = {
+    val U = ProvRCTable.Unbounded
+    def on(attr: String, v: Any)(range: Long => (Long, Long)): Option[(Int, Long, Long)] = {
+      val n: Option[Long] = v match {
+        case l: java.lang.Long    => Some(l.longValue())
+        case i: java.lang.Integer => Some(i.longValue())
+        case _                    => None
+      }
+      for (axis <- keyIndex.get(attr); x <- n) yield {
+        val (lo, hi) = range(x)
+        (axis, lo, hi)
+      }
+    }
+    f match {
+      case EqualTo(a, v)            => on(a, v)(x => (x, x))
+      case GreaterThan(a, v)        => on(a, v)(x => (x + 1, U.hi))
+      case GreaterThanOrEqual(a, v) => on(a, v)(x => (x, U.hi))
+      case LessThan(a, v)           => on(a, v)(x => (U.lo, x - 1))
+      case LessThanOrEqual(a, v)    => on(a, v)(x => (U.lo, x))
+      case _                        => None
+    }
   }
 
   override def pushFilters(filters: Array[Filter]): Array[Filter] = {
-    pushed = filters.filter(pushable)
-    filters.filterNot(pushable) // residual, evaluated by Spark post-scan
+    val (in, residual) = filters.partition(bounds(_).isDefined)
+    pushed = in
+    residual // evaluated by Spark post-scan
   }
 
   override def pushedFilters(): Array[Filter] = pushed
 
   override def build(): Scan = {
     // Fold pushed predicates into one rectangle over the key axes.
-    val lo = Array.fill(meta.nOut)(ProvRCTable.Unbounded.lo)
-    val hi = Array.fill(meta.nOut)(ProvRCTable.Unbounded.hi)
-    def num(v: Any): Long = v match {
-      case l: java.lang.Long    => l.longValue()
-      case i: java.lang.Integer => i.longValue()
-      case other                => other.toString.toLong
-    }
-    pushed.foreach {
-      case EqualTo(a, v) =>
-        val i = keyIndex(a); lo(i) = math.max(lo(i), num(v)); hi(i) = math.min(hi(i), num(v))
-      case GreaterThan(a, v)        => val i = keyIndex(a); lo(i) = math.max(lo(i), num(v) + 1)
-      case GreaterThanOrEqual(a, v) => val i = keyIndex(a); lo(i) = math.max(lo(i), num(v))
-      case LessThan(a, v)           => val i = keyIndex(a); hi(i) = math.min(hi(i), num(v) - 1)
-      case LessThanOrEqual(a, v)    => val i = keyIndex(a); hi(i) = math.min(hi(i), num(v))
-      case _                        => ()
+    val lo = Array.fill(header.nOut)(ProvRCTable.Unbounded.lo)
+    val hi = Array.fill(header.nOut)(ProvRCTable.Unbounded.hi)
+    pushed.flatMap(bounds).foreach { case (i, l, h) =>
+      lo(i) = math.max(lo(i), l); hi(i) = math.min(hi(i), h)
     }
     val empty = lo.indices.exists(i => lo(i) > hi(i))
     val rect =
-      if (empty) Vector.fill(meta.nOut)(ProvRCTable.Unbounded)
+      if (empty) Vector.fill(header.nOut)(ProvRCTable.Unbounded)
       else lo.indices.map(i => Interval(lo(i), hi(i))).toVector
-    new ProvRCScan(path, meta, rect, empty)
+    new ProvRCScan(path, header, rect, empty)
   }
 }
 
@@ -156,18 +142,17 @@ private final case class ProvRCChunk(blob: Array[Byte]) extends InputPartition
 
 private final class ProvRCScan(
     path: String,
-    meta: ProvRCTable.Meta,
+    header: Codec.Header,
     rect: Vector[Interval],
     empty: Boolean,
 ) extends Scan with Batch with Serializable {
 
-  override def readSchema(): StructType = ProvRCTable.schemaOf(meta)
+  override def readSchema(): StructType = ProvRCTable.schemaOf(header)
   override def toBatch: Batch = this
 
   override def planInputPartitions(): Array[InputPartition] = {
     if (empty) return Array.empty
-    val (rows, nOut, nIn) =
-      Codec.readFile(Paths.get(path, "table.prc"), meta.gzip)
+    val (rows, nOut, nIn) = Codec.readFile(ProvRCTable.file(path), gzip = false)
     rows
       .grouped(4096)
       .map(g => ProvRCChunk(Codec.encode(g, nOut, nIn)): InputPartition)
@@ -192,9 +177,7 @@ private final class ProvRCPartitionReader(
   private val iter: Iterator[Array[Long]] = {
     val (rows, _, _) = Codec.decode(chunk.blob)
     val filtered = rows.flatMap { r =>
-      val inter = r.out.lazyZip(rect).map((o, q) => o.intersect(q))
-      if (inter.exists(_.isEmpty)) None
-      else Some(CRow(inter.map(_.get).toVector, r.in))
+      ThetaJoin.rangeJoin(r.out, rect).map(inter => CRow(inter.toVector, r.in))
     }
     ProvRC.decompress(filtered)
   }

@@ -29,6 +29,23 @@ object ThetaJoin {
     if (merge) mergeRects(out) else out
   }
 
+  /** Step 1, the range join of one row with one query rectangle: the
+    * intersection of the row's key-side intervals with the rectangle, axis
+    * by axis, or `None` when some axis is disjoint.
+    */
+  def rangeJoin(key: Vector[Interval], q: Rect): Option[Array[Interval]] = {
+    val inter = new Array[Interval](q.size)
+    var j = 0
+    while (j < q.size) {
+      key(j).intersect(q(j)) match {
+        case Some(iv) => inter(j) = iv
+        case None     => return None
+      }
+      j += 1
+    }
+    Some(inter)
+  }
+
   /** Range join + de-relativization, no rectangle merging. */
   def joinRaw(rows: Iterable[CRow], query: Seq[Rect]): Vector[Rect] = {
     val b = Vector.newBuilder[Rect]
@@ -41,34 +58,26 @@ object ThetaJoin {
       r.in.foreach { case RelEnc(k, _) => refCount(k) += 1; case _ => () }
       query.foreach { q =>
         require(q.size == r.out.size, "query arity mismatch")
-        var ok = true
-        val inter = new Array[Interval](q.size)
-        var j = 0
-        while (ok && j < q.size) {
-          r.out(j).intersect(q(j)) match {
-            case Some(iv) => inter(j) = iv
-            case None     => ok = false
-          }
-          j += 1
-        }
-        if (ok) {
-          val conflict = inter.indices.filter(j => refCount(j) >= 2 && inter(j).len > 1)
-          val assignments: Iterator[Array[Interval]] =
-            if (conflict.isEmpty) Iterator.single(inter)
-            else
-              conflict.foldLeft(Iterator.single(inter)) { (acc, axis) =>
-                acc.flatMap { base =>
-                  (base(axis).lo to base(axis).hi).iterator.map { v =>
-                    val c = base.clone(); c(axis) = Interval.point(v); c
+        rangeJoin(r.out, q) match {
+          case None => ()
+          case Some(inter) =>
+            val conflict = inter.indices.filter(j => refCount(j) >= 2 && inter(j).len > 1)
+            val assignments: Iterator[Array[Interval]] =
+              if (conflict.isEmpty) Iterator.single(inter)
+              else
+                conflict.foldLeft(Iterator.single(inter)) { (acc, axis) =>
+                  acc.flatMap { base =>
+                    (base(axis).lo to base(axis).hi).iterator.map { v =>
+                      val c = base.clone(); c(axis) = Interval.point(v); c
+                    }
                   }
                 }
+            assignments.foreach { iv =>
+              b += r.in.map {
+                case AbsEnc(a)    => a
+                case RelEnc(k, d) => iv(k).plus(d)
               }
-          assignments.foreach { iv =>
-            b += r.in.map {
-              case AbsEnc(a)    => a
-              case RelEnc(k, d) => iv(k).plus(d)
             }
-          }
         }
       }
     }

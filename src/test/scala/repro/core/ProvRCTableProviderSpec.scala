@@ -1,6 +1,6 @@
 package repro.core
 
-import java.nio.file.Files
+import java.nio.file.{Files, Paths}
 import repro.SparkSpec
 import repro.arrays.LineageGen
 
@@ -18,6 +18,18 @@ class ProvRCTableProviderSpec extends SparkSpec {
     val df = LineageGen.aggregate2d(spark, 40, 30, axis = 1)
     val dir = writeTable(1, df)
     val back = spark.read.format("provrc").load(dir)
+    assert(back.columns.toSeq == Seq("b1", "a1", "a2"))
+    assert(back.collect().map(_.toSeq).toSet == df.collect().map(_.toSeq).toSet)
+  }
+
+  test("a table is the one file table.prc, which loads alone with its column names") {
+    val df = LineageGen.aggregate2d(spark, 40, 30, axis = 1)
+    val dir = writeTable(1, df)
+    assert(new java.io.File(dir).list().toSeq == Seq("table.prc"))
+    val copy = Files.createTempDirectory("prccopy").resolve("t")
+    Files.createDirectories(copy)
+    Files.copy(Paths.get(dir, "table.prc"), copy.resolve("table.prc"))
+    val back = spark.read.format("provrc").load(copy.toString)
     assert(back.columns.toSeq == Seq("b1", "a1", "a2"))
     assert(back.collect().map(_.toSeq).toSet == df.collect().map(_.toSeq).toSet)
   }

@@ -57,6 +57,61 @@ class CodecSpec extends AnyFunSuite {
     intercept[Exception](Codec.decode(Array[Byte](1, 2, 3, 4, 5, 6)))
   }
 
+  test("readHeader returns arities and column names without the rows") {
+    val p = Files.createTempDirectory("codec").resolve("t.prc")
+    val names = Seq("b1", "b2", "a1", "a\u00e9")
+    Codec.writeFile(p, table, 2, 2, gzip = false, names)
+    assert(Codec.readHeader(p) == Codec.Header(2, 2, names.toVector, 2))
+    assert(Codec.readFile(p, gzip = false) == ((table, 2, 2)))
+  }
+
+  // Hand-built inputs: magic, then unsigned varints. The first varint after
+  // the magic is nOut << 1 | named.
+  private def varint(v0: Long): Array[Byte] = {
+    val b = Array.newBuilder[Byte]
+    var v = v0
+    while ((v & ~0x7fL) != 0) { b += ((v & 0x7f) | 0x80).toByte; v >>>= 7 }
+    b += v.toByte
+    b.result()
+  }
+  private def blob(magic: String, varints: Long*): Array[Byte] =
+    magic.getBytes("US-ASCII") ++ varints.flatMap(varint)
+  private def malformed(bytes: Array[Byte]): String =
+    intercept[IllegalArgumentException](Codec.decode(bytes)).getMessage
+
+  test("decode rejects a version-1 table, naming the version") {
+    assert(malformed(blob("PRC1", 1, 1, 0)).contains("version 1"))
+  }
+
+  test("decode rejects a varint longer than 10 bytes") {
+    val long = "PRC2".getBytes("US-ASCII") ++ Array.fill(11)(0x80.toByte) ++ Array[Byte](1)
+    assert(malformed(long).contains("10 bytes"))
+  }
+
+  test("decode rejects arities and name lengths that are negative or beyond their caps") {
+    assert(malformed(blob("PRC2", (Codec.MaxAxes + 1L) << 1, 1)).contains("nOut"))
+    assert(malformed(blob("PRC2", -2L, 1)).contains("nOut"))
+    assert(malformed(blob("PRC2", 2, -1L)).contains("nIn = -1"))
+    assert(malformed(blob("PRC2", 2, 1L << 40)).contains("nIn"))
+    assert(malformed(blob("PRC2", 3, 0, Codec.MaxNameBytes + 1L)).contains("column name length"))
+    assert(malformed(blob("PRC2", 3, 0, -5L)).contains("column name length"))
+  }
+
+  test("decode rejects a Rel tag that names no output axis") {
+    // nOut = 1, nIn = 1, unnamed, one row: out [0,0], in tag 2 (axis 1).
+    assert(malformed(blob("PRC2", 2, 1, 1, 0, 0, 2, 0, 0)).contains("tag 2"))
+  }
+
+  test("decode rejects every truncation of a table") {
+    val bos = new java.io.ByteArrayOutputStream()
+    Codec.write(bos, table, 2, 2, Seq("b1", "b2", "a1", "a2"))
+    val full = bos.toByteArray
+    assert(Codec.decode(full)._1 == table)
+    (0 until full.length).foreach { n =>
+      assert(malformed(full.take(n)).contains("truncated"), s"prefix of $n bytes")
+    }
+  }
+
   test("compressed binary of structured lineage is tiny") {
     val rows = (0L until 100000L).map(i => Array(i, i))
     val c = ProvRC.compress(rows.iterator, 1, 1)

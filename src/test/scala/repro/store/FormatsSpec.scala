@@ -1,10 +1,10 @@
 package repro.store
 
-import java.nio.file.Files
+import java.nio.file.{Files, Paths}
 import repro.SparkSpec
 import repro.arrays.LineageGen
-import repro.core.LineageCompressor
-import repro.provrc.ProvRC
+import repro.core.{LineageCompressor, ProvRCTable}
+import repro.provrc.{Codec, ProvRC}
 
 class FormatsSpec extends SparkSpec {
 
@@ -94,12 +94,12 @@ class FormatsSpec extends SparkSpec {
   test("ProvRC store roundtrip, plain and gzip") {
     val df = LineageGen.conv2dSame(spark, 32, 32, 3, 3)
     val c = LineageCompressor.compress(df, nOut = 2)
-    val p1 = tmp("prc") + "/t.prc"
-    val p2 = tmp("prcgz") + "/t.prc.gz"
-    ProvRCStore.write(p1, c, 2, 2, gzip = false)
-    ProvRCStore.write(p2, c, 2, 2, gzip = true)
-    assert(ProvRCStore.read(p1, gzip = false)._1 == c)
-    assert(ProvRCStore.read(p2, gzip = true)._1 == c)
+    val dir = tmp("prc")
+    val gz = Paths.get(tmp("prcgz"), "t.prc.gz")
+    ProvRCTable.write(dir, c, 2, 2, Seq("b1", "b2"), Seq("a1", "a2"))
+    Codec.writeFile(gz, c, 2, 2, gzip = true)
+    assert(Codec.readFile(Paths.get(dir, "table.prc"), gzip = false)._1 == c)
+    assert(Codec.readFile(gz, gzip = true)._1 == c)
   }
 
   test("ProvRC beats every baseline on structured lineage size") {
@@ -111,18 +111,18 @@ class FormatsSpec extends SparkSpec {
     Formats.ArrayBin.write(df, dirs("bin"))
     Formats.Parquet.write(df, dirs("pq"), "snappy")
     TurboRC.write(df, dirs("trc"))
-    val prc = tmp("c5") + "/t.prc"
-    ProvRCStore.write(prc, c, 1, 2, gzip = false)
-    val prcSize = ProvRCStore.sizeBytes(prc)
+    val prc = tmp("c5")
+    ProvRCTable.write(prc, c, 1, 2, df.columns.take(1).toSeq, df.columns.drop(1).toSeq)
+    val prcSize = IOUtil.sizeBytes(prc)
     dirs.values.foreach(d => assert(prcSize < IOUtil.sizeBytes(d), s"provrc $prcSize vs $d"))
   }
 
   test("decompressed ProvRC store equals the original relation") {
     val df = LineageGen.tile1d(spark, 300, 2)
     val c = LineageCompressor.compress(df, nOut = 1)
-    val p = tmp("rt") + "/t.prc"
-    ProvRCStore.write(p, c, 1, 1, gzip = false)
-    val (rows, _, _) = ProvRCStore.read(p, gzip = false)
+    val dir = tmp("rt")
+    ProvRCTable.write(dir, c, 1, 1, Seq("b1"), Seq("a1"))
+    val (rows, _, _) = Codec.readFile(Paths.get(dir, "table.prc"), gzip = false)
     assert(ProvRC.decompress(rows).map(_.toVector).toSet ==
       df.collect().map(r => Vector(r.getLong(0), r.getLong(1))).toSet)
   }
